@@ -99,7 +99,8 @@ class Collector:
         duplicates suppressed by :meth:`Site.receive`.  Backends whose
         redeliveries are not idempotent (e.g. credit-carrying termination
         messages -- a duplicated ack would double-recover credit) declare
-        them here instead of re-implementing dedup.
+        them here instead of re-implementing dedup.  Each type has a ``seq``
+        field and implements :meth:`Payload.with_seq`, which stamps it.
         """
         return ()
 

@@ -4,14 +4,24 @@ The paper's object model names objects by site plus a per-site serial number.
 References *are* object ids: a reference held at site P pointing to an object
 owned by site R is simply R's object id stored inside one of P's objects.
 
-All id types are small immutable values that hash and sort deterministically,
-which keeps the discrete-event simulation replayable.
+All id types are ``NamedTuple``s: small immutable values whose equality,
+hashing and ordering are the tuple's, run in C.  They hash like the plain
+``(site, number)`` tuple and sort by site then number, which keeps set and
+dict iteration -- and so the discrete-event simulation -- replayable.
+
+Equality is structural: an id equals any tuple with the same fields, so
+``TraceId("P", 0) == FrameId("P", 0) == ObjectId("P", 0) == ("P", 0)``.
+That is safe only while no dict or set mixes id kinds, or ids with plain
+tuples.  None does: every id-keyed map (heaps, ioref tables, local-trace
+results, the back-trace engine's frame, record and root maps, the oracle,
+the baselines) holds one kind, and the termination backend's plain
+``(site, serial)`` trial keys live in maps of their own.  Keep it that way,
+or key such a map by ``(kind, id)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 # Sites are identified by short strings ("P", "Q", ...) in examples and by
 # generated names ("s00", "s01", ...) in workloads.  Using strings keeps
@@ -19,8 +29,7 @@ from typing import Union
 SiteId = str
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(NamedTuple):
     """Globally unique name of an object: owning site + per-site serial.
 
     An :class:`ObjectId` doubles as a *reference*.  ``ObjectId.site`` tells
@@ -38,8 +47,7 @@ class ObjectId:
         return f"{self.site}.{self.serial}"
 
 
-@dataclass(frozen=True, order=True)
-class TraceId:
+class TraceId(NamedTuple):
     """Unique id of one distributed back trace.
 
     The initiating site assigns the id (site + a local sequence number), as
@@ -54,8 +62,7 @@ class TraceId:
         return f"bt:{self.initiator}:{self.seq}"
 
 
-@dataclass(frozen=True, order=True)
-class FrameId:
+class FrameId(NamedTuple):
     """Identifies one activation frame of a back trace at one site."""
 
     site: SiteId

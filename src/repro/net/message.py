@@ -43,6 +43,16 @@ class Payload:
         """
         return ()
 
+    def with_seq(self, seq: int) -> "Payload":
+        """A copy stamped with the duplicate-suppression sequence number ``seq``.
+
+        Implemented by every payload with a ``seq`` field: the site's
+        sequenced mutations, post-trace updates and whatever a collector
+        lists in ``sequenced_payload_types``.  It runs once per sequenced
+        message, so each builds its copy with its own constructor.
+        """
+        raise NotImplementedError(f"{self.kind()} carries no seq")
+
     def size_units(self) -> int:
         """Abstract message size for bandwidth accounting.
 

@@ -19,7 +19,6 @@ system.  It also owns the site-local policies the paper describes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -253,7 +252,7 @@ class Site:
         if entry[1] and payload.seq < 0:
             seq = self._mutation_seq.get(dst, 0) + 1
             self._mutation_seq[dst] = seq
-            payload = replace(payload, seq=seq)
+            payload = payload.with_seq(seq)
         if self._sender is not None:
             self._sender.send(dst, payload)
         else:
@@ -425,7 +424,7 @@ class Site:
             return
         seq = self._update_seq.get(dst, 0) + 1
         self._update_seq[dst] = seq
-        payload = replace(payload, seq=seq)
+        payload = payload.with_seq(seq)
         pending = self._pending_updates.setdefault(dst, {})
         if payload.full:
             # A full update is a complete state transfer: it supersedes every
