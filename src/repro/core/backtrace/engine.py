@@ -335,9 +335,10 @@ class BackTraceEngine:
         trace_id = record.trace_id
         record.outcome_timeout = self.scheduler.schedule(
             2 * self.config.backtrace_timeout,
-            lambda: self._outcome_timed_out(trace_id),
+            self._outcome_timed_out,
             label=f"outcome-timeout:{trace_id}",
             site=self.site_id,
+            arg=trace_id,
         )
 
     def _outcome_timed_out(self, trace_id: TraceId) -> None:
@@ -556,9 +557,10 @@ class BackTraceEngine:
         frame_id = frame.frame_id
         frame.timeout = self.scheduler.schedule(
             self.config.backtrace_timeout,
-            lambda: self._frame_timed_out(frame_id),
+            self._frame_timed_out,
             label=f"frame-timeout:{frame_id}",
             site=self.site_id,
+            arg=frame_id,
         )
 
     def _frame_timed_out(self, frame_id: FrameId) -> None:

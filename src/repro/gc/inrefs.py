@@ -14,7 +14,7 @@ cleaned it since the last local trace.  Otherwise it is *suspected*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId, TraceId
@@ -70,6 +70,10 @@ class InrefEntry:
     automatically bumps the owning table's structure epoch; distance changes
     flow through the three source-list methods and bump the distance epoch.
     The incremental local trace depends on these notifications.
+
+    All of them reach the owning table through the single ``_table``
+    back-reference (``None`` for a free-standing entry, whose epoch then
+    just counts up), not through per-entry bound methods and closures.
     """
 
     target: ObjectId
@@ -89,49 +93,36 @@ class InrefEntry:
     epoch: int = 0
     _garbage: bool = field(default=False, repr=False)
     _barrier_clean: bool = field(default=False, repr=False)
-    _on_structure_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_distance_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _next_epoch: Optional[Callable[[], int]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_source_added: Optional[Callable[[SiteId], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_source_removed: Optional[Callable[[SiteId], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    _table: Optional["InrefTable"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.sources, _SourceMap):
             self.sources = _SourceMap(self, self.sources)
 
     def _bump_epoch(self) -> None:
-        if self._next_epoch is not None:
-            self.epoch = self._next_epoch()
-        else:
+        table = self._table
+        if table is None:
             self.epoch += 1
+        else:
+            self.epoch = table._advance_entry_epoch()
 
     def _structure_changed(self) -> None:
         self._bump_epoch()
-        if self._on_structure_change is not None:
-            self._on_structure_change()
+        if self._table is not None:
+            self._table.bump_structure()
 
     def _distance_changed(self) -> None:
         self._bump_epoch()
-        if self._on_distance_change is not None:
-            self._on_distance_change()
+        if self._table is not None:
+            self._table.bump_distance()
 
     def _source_added(self, site: SiteId) -> None:
-        if self._on_source_added is not None:
-            self._on_source_added(site)
+        if self._table is not None:
+            self._table._index_source_added(self.target, site)
 
     def _source_removed(self, site: SiteId) -> None:
-        if self._on_source_removed is not None:
-            self._on_source_removed(site)
+        if self._table is not None:
+            self._table._index_source_removed(self.target, site)
 
     @property
     def garbage(self) -> bool:
@@ -317,15 +308,7 @@ class InrefTable:
             entry = InrefEntry(
                 target=target, back_threshold=self.initial_back_threshold
             )
-            entry._on_structure_change = self.bump_structure
-            entry._on_distance_change = self.bump_distance
-            entry._next_epoch = self._advance_entry_epoch
-            entry._on_source_added = lambda site: self._index_source_added(
-                target, site
-            )
-            entry._on_source_removed = lambda site: self._index_source_removed(
-                target, site
-            )
+            entry._table = self
             entry.epoch = self._advance_entry_epoch()
             self._entries[target] = entry
             self._order_dirty = True

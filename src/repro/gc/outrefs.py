@@ -18,7 +18,7 @@ the insert barrier pins it (section 6.1.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId, TraceId
@@ -32,6 +32,12 @@ class OutrefEntry:
     every semantically relevant change bumps the table's mutation epoch for
     the incremental local trace.  ``traced_clean``/``distance``/``inset`` are
     written only by the local trace commit itself and stay plain fields.
+
+    The entry reaches its table through the single ``_table`` back-reference
+    (``None`` for a free-standing entry, whose epoch then just counts up)
+    rather than through per-entry bound methods: the tables hold tens of
+    thousands of entries, and every extra object per entry is one more for
+    the interpreter's cyclic collector to scan.
     """
 
     target: ObjectId
@@ -47,20 +53,15 @@ class OutrefEntry:
     # InrefEntry.epoch for the full rationale).
     epoch: int = 0
     _barrier_clean: bool = field(default=False, repr=False)
-    _on_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _next_epoch: Optional[Callable[[], int]] = field(
-        default=None, repr=False, compare=False
-    )
+    _table: Optional["OutrefTable"] = field(default=None, repr=False, compare=False)
 
     def _changed(self) -> None:
-        if self._next_epoch is not None:
-            self.epoch = self._next_epoch()
-        else:
+        table = self._table
+        if table is None:
             self.epoch += 1
-        if self._on_change is not None:
-            self._on_change()
+            return
+        self.epoch = table._advance_entry_epoch()
+        table.bump()
 
     def apply_trace_state(
         self, clean: bool, distance: int, inset: FrozenSet[ObjectId]
@@ -187,8 +188,7 @@ class OutrefTable:
                 traced_clean=clean,
                 back_threshold=self.initial_back_threshold,
             )
-            entry._on_change = self.bump
-            entry._next_epoch = self._advance_entry_epoch
+            entry._table = self
             entry.epoch = self._advance_entry_epoch()
             self._entries[target] = entry
             self._order_dirty = True

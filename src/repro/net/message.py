@@ -12,7 +12,7 @@ reply, and report messages by this name to check the paper's 2E + N bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 from ..ids import SiteId
 
@@ -24,14 +24,23 @@ class Payload:
     back-trace calls, inserts) can opt into ``slots=True`` and actually shed
     their per-instance ``__dict__``; subclasses that don't opt in still get
     a ``__dict__`` automatically.
+
+    ``_kind`` holds the class name as a plain class attribute, set once per
+    subclass, so the per-message ``Message.kind`` lookup is an attribute
+    read rather than a classmethod call.
     """
 
     __slots__ = ()
+    _kind = "Payload"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._kind = cls.__name__
 
     @classmethod
     def kind(cls) -> str:
         """Short name used for metrics aggregation."""
-        return cls.__name__
+        return cls._kind
 
     def carried_refs(self):
         """Object references this message carries to its destination.
@@ -66,7 +75,6 @@ class Payload:
 _envelope_counter = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
 class Message:
     """An addressed payload in flight.
 
@@ -75,17 +83,51 @@ class Message:
     message but is accounted separately (``messages.duplicated.*`` /
     ``messages.dup_delivered.*``) so sent/delivered/dropped counters
     reconcile per payload kind.  Each copy gets its own ``uid``.
+
+    A plain slotted class with a hand-written ``__init__``, because one is
+    built per simulated message.  Equality and hashing are by value over all
+    five fields; nothing assigns to a field after construction.
     """
 
-    src: SiteId
-    dst: SiteId
-    payload: Payload
-    uid: int = field(default_factory=lambda: next(_envelope_counter))
-    dup: bool = False
+    __slots__ = ("src", "dst", "payload", "uid", "dup")
+
+    def __init__(
+        self,
+        src: SiteId,
+        dst: SiteId,
+        payload: Payload,
+        uid: Optional[int] = None,
+        dup: bool = False,
+    ):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.uid = next(_envelope_counter) if uid is None else uid
+        self.dup = dup
+
+    def _key(self) -> tuple:
+        return (self.src, self.dst, self.payload, self.uid, self.dup)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Message:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (Message, self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(src={self.src!r}, dst={self.dst!r}, payload={self.payload!r}, "
+            f"uid={self.uid!r}, dup={self.dup!r})"
+        )
 
     @property
     def kind(self) -> str:
-        return self.payload.kind()
+        return self.payload._kind
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind}({self.src}->{self.dst})"

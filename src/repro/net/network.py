@@ -24,19 +24,24 @@ collapsed into one :class:`_Link` struct per ordered pair, built on first
 use and cached in ``_links``.  A link caches everything about the pair that
 only changes at topology events -- the destination's deliver function, the
 pair's latency and fault RNG streams, the prefiltered fault rules, the
-cached crash/partition verdict, the FIFO floor, and per-payload-kind
-interned :class:`~repro.metrics.counters.CounterCell` handles -- so a clean
-send costs one dict hit plus cell adds.  Every mutation that could change
+cached crash/partition verdict, the FIFO floor, and per payload kind a
+tuple of interned counter names -- so a clean send costs one dict hit plus
+inline counter-dict updates.  Every mutation that could change
 any of that (``register``, ``crash``, ``recover``, ``partition``,
 ``heal_partition``, ``attach_shard``) drops the whole cache; links rebuild
 lazily with rule-for-rule identical behaviour.  RNG streams survive
 invalidation in the ``_pair_streams`` / ``_fault_streams`` memos, so a
 rebuilt link resumes the pair's draw sequence exactly where it left off.
+
+Memory: a 64-site run builds tens of thousands of (link, kind) entries and
+keeps them for the whole run, so each is a tuple of interned strings, which
+the interpreter's cyclic collector stops tracking.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import NetworkConfig
@@ -52,40 +57,17 @@ from .message import Message, Payload
 DeliverFn = Callable[[Message], None]
 
 
-class _KindCells:
-    """Interned counter cells for one (payload kind, ordered pair).
-
-    Resolved once per (link, kind); the per-send accounting then runs
-    entirely on cached cells.  The ``add`` call order in :meth:`Network.send`
-    reproduces the historical ``incr`` order exactly, so counter insertion
-    order (and hence snapshots) stays byte-identical.
-    """
-
-    __slots__ = (
-        "sent",
-        "units",
-        "involve_src",
-        "involve_dst",
-        "delivered",
-        "dropped",
-        "duplicated",
-        "dup_delivered",
-        "dup_dropped",
-        "deliver_label",
-    )
-
-    def __init__(self, metrics: MetricsRecorder, kind: str, src: SiteId, dst: SiteId):
-        cell = metrics.cell
-        self.sent = cell(names.msg_sent(kind))
-        self.units = cell(f"units.{kind}")
-        self.involve_src = cell(f"involve.{kind}.{src}")
-        self.involve_dst = cell(f"involve.{kind}.{dst}")
-        self.delivered = cell(names.msg_delivered_kind(kind))
-        self.dropped = cell(names.msg_dropped_kind(kind))
-        self.duplicated = cell(names.msg_duplicated(kind))
-        self.dup_delivered = cell(names.msg_dup_delivered(kind))
-        self.dup_dropped = cell(names.msg_dup_dropped(kind))
-        self.deliver_label = "deliver:" + kind
+# Positions in a per-(link, kind) name tuple (see Network._kind_names).
+_SENT = 0
+_UNITS = 1
+_DELIVERED = 2
+_DROPPED = 3
+_DUPLICATED = 4
+_DUP_DELIVERED = 5
+_DUP_DROPPED = 6
+_DELIVER_LABEL = 7
+_INVOLVE_SRC = 8
+_INVOLVE_DST = 9
 
 
 class _Link:
@@ -115,7 +97,7 @@ class _Link:
         dst: SiteId,
         deliver: DeliverFn,
         blocked: Optional[str],
-        rng: random.Random,
+        rng: Optional[random.Random],
         fault_rng: Optional[random.Random],
         fault_rules: Optional[tuple],
         fifo: bool,
@@ -129,6 +111,8 @@ class _Link:
         #: ("crash" / "partition"), or None.  Safe to cache: every event
         #: that could change it invalidates the link cache.
         self.blocked = blocked
+        #: Latency stream, fetched on the first send: a shard worker builds
+        #: inbound links for remote senders that never draw from it.
         self.rng = rng
         self.fault_rng = fault_rng
         self.fault_rules = fault_rules
@@ -136,7 +120,8 @@ class _Link:
         self.last_delivery = last_delivery
         #: False only in shard mode when ``dst`` lives on another shard.
         self.local = local
-        self.kind_cells: Dict[str, _KindCells] = {}
+        #: payload kind -> counter names (see :meth:`Network._kind_names`).
+        self.kind_cells: Dict[str, Tuple[str, ...]] = {}
 
 
 class Network:
@@ -155,6 +140,8 @@ class Network:
         self._rng_registry = rng
         self._rng = rng.stream("network")
         self._metrics = metrics
+        # The live counter dict the accounting writes straight into.
+        self._counts = metrics._counters
         self._config = config or NetworkConfig()
         self._latency = latency_model or UniformLatency(
             self._config.min_latency, self._config.max_latency
@@ -192,16 +179,8 @@ class Network:
         # The per-pair link cache (the hot-path fast lane; see module
         # docstring for the invalidation contract).
         self._links: Dict[Tuple[SiteId, SiteId], _Link] = {}
-        # Pair-independent cells, interned once.
-        cell = metrics.cell
-        self._cell_total = cell(names.MSG_TOTAL)
-        self._cell_units = cell(names.MSG_UNITS)
-        self._cell_delivered = cell(names.MSG_DELIVERED)
-        self._cell_lost = cell(names.MSG_LOST)
-        self._reason_cells = {
-            reason: cell(names.msg_dropped_reason(reason))
-            for reason in ("crash", "partition", "loss", "fault")
-        }
+        # payload kind -> the pair-independent part of every link's names.
+        self._kind_shared: Dict[str, Tuple[str, ...]] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -270,14 +249,15 @@ class Network:
             return "partition"
         return None
 
-    def _drop(self, cells: _KindCells, dup: bool, reason: str) -> None:
+    def _drop(self, kind_names: Tuple[str, ...], dup: bool, reason: str) -> None:
         """Count one discarded message (original vs duplicate copy)."""
+        incr = self._metrics.incr
         if dup:
-            cells.dup_dropped.add()
+            incr(kind_names[_DUP_DROPPED])
             return
-        self._cell_lost.add()
-        cells.dropped.add()
-        self._reason_cells[reason].add()
+        incr(names.MSG_LOST)
+        incr(kind_names[_DROPPED])
+        incr(names.msg_dropped_reason(reason))
 
     # -- the link cache ------------------------------------------------------
 
@@ -296,7 +276,7 @@ class Network:
             dst=dst,
             deliver=deliver,
             blocked=self._blocked(src, dst),
-            rng=self._rng_for(src, dst),
+            rng=None,
             fault_rng=fault_rng,
             fault_rules=fault_rules,
             fifo=self._config.fifo_per_pair,
@@ -305,6 +285,31 @@ class Network:
         )
         self._links[(src, dst)] = link
         return link
+
+    def _kind_names(self, kind: str, src: SiteId, dst: SiteId) -> Tuple[str, ...]:
+        """Counter names for one (payload kind, ordered pair), plus its event label.
+
+        Resolved once per (link, kind).  Every name is the interned string
+        held by the recorder's :class:`~repro.metrics.counters.CounterCell`,
+        so the tuples of all links share one copy of each name.
+        """
+        cell = self._metrics.cell
+        shared = self._kind_shared.get(kind)
+        if shared is None:
+            shared = self._kind_shared[kind] = (
+                cell(names.msg_sent(kind)).name,
+                cell(f"units.{kind}").name,
+                cell(names.msg_delivered_kind(kind)).name,
+                cell(names.msg_dropped_kind(kind)).name,
+                cell(names.msg_duplicated(kind)).name,
+                cell(names.msg_dup_delivered(kind)).name,
+                cell(names.msg_dup_dropped(kind)).name,
+                sys.intern("deliver:" + kind),
+            )
+        return shared + (
+            cell(f"involve.{kind}.{src}").name,
+            cell(f"involve.{kind}.{dst}").name,
+        )
 
     def _invalidate_links(self) -> None:
         """Drop every cached link, flushing FIFO floors back to the dict.
@@ -416,28 +421,36 @@ class Network:
         link = self._links.get((src, dst))
         if link is None:
             link = self._build_link(src, dst)
-        message = Message(src=src, dst=dst, payload=payload)
-        kind = message.kind
-        cells = link.kind_cells.get(kind)
-        if cells is None:
-            cells = link.kind_cells[kind] = _KindCells(self._metrics, kind, src, dst)
+        message = Message(src, dst, payload)
+        kind = payload._kind
+        kind_names = link.kind_cells.get(kind)
+        if kind_names is None:
+            kind_names = link.kind_cells[kind] = self._kind_names(kind, src, dst)
         # Accounting in the historical incr order: the per-kind send count,
         # the totals, then per-kind size units and per-site attribution
         # (which sites a protocol involves and what it really ships; E6).
         units = payload.size_units()
-        cells.sent.add()
-        self._cell_total.add()
-        self._cell_units.add(units)
-        cells.units.add(units)
-        cells.involve_src.add()
-        cells.involve_dst.add()
+        counts = self._counts
+        get = counts.get
+        name = kind_names[_SENT]
+        counts[name] = get(name, 0) + 1
+        counts[names.MSG_TOTAL] = get(names.MSG_TOTAL, 0) + 1
+        counts[names.MSG_UNITS] = get(names.MSG_UNITS, 0) + units
+        name = kind_names[_UNITS]
+        counts[name] = get(name, 0) + units
+        name = kind_names[_INVOLVE_SRC]
+        counts[name] = get(name, 0) + 1
+        name = kind_names[_INVOLVE_DST]
+        counts[name] = get(name, 0) + 1
 
         if link.blocked is not None:
-            self._drop(cells, False, link.blocked)
+            self._drop(kind_names, False, link.blocked)
             return
         rng = link.rng
+        if rng is None:
+            rng = link.rng = self._rng_for(src, dst)
         if self._drop_probability and rng.random() < self._drop_probability:
-            self._drop(cells, False, "loss")
+            self._drop(kind_names, False, "loss")
             return
         now = self._scheduler.now
         extra_delay = 0.0
@@ -448,7 +461,7 @@ class Network:
                 now, src, dst, link.fault_rng, rules=link.fault_rules
             )
             if fate.drop:
-                self._drop(cells, False, "fault")
+                self._drop(kind_names, False, "fault")
                 return
             extra_delay = fate.extra_delay
             duplicate_lags = fate.duplicate_lags
@@ -459,23 +472,27 @@ class Network:
             if deliver_at < floor:
                 deliver_at = floor
             link.last_delivery = deliver_at
-        self._dispatch(link, cells, message, deliver_at)
+        self._dispatch(link, kind_names, message, deliver_at)
         for lag in duplicate_lags:
             # A fresh envelope per copy: its own uid (in-flight tracking and
             # cross-shard routing need distinct keys) and the dup marker for
             # separate accounting.
-            copy = Message(src=src, dst=dst, payload=payload, dup=True)
-            cells.duplicated.add()
+            copy = Message(src, dst, payload, dup=True)
+            self._metrics.incr(kind_names[_DUPLICATED])
             copy_at = deliver_at + lag
             if link.fifo:
                 floor = link.last_delivery
                 if copy_at < floor:
                     copy_at = floor
                 link.last_delivery = copy_at
-            self._dispatch(link, cells, copy, copy_at)
+            self._dispatch(link, kind_names, copy, copy_at)
 
     def _dispatch(
-        self, link: _Link, cells: _KindCells, message: Message, deliver_at: float
+        self,
+        link: _Link,
+        kind_names: Tuple[str, ...],
+        message: Message,
+        deliver_at: float,
     ) -> None:
         if not link.local:
             # Cross-shard: delivery time is already fixed sender-side.  Try
@@ -490,12 +507,12 @@ class Network:
             self._shard_outbox.append((deliver_at, message))
             return
         self._in_flight[message.uid] = message
-        self._scheduler.schedule_at(
+        self._scheduler.post(
             deliver_at,
             self._deliver,
-            label=cells.deliver_label,
-            site=message.dst,
-            arg=message,
+            kind_names[_DELIVER_LABEL],
+            message.dst,
+            message,
         )
 
     def in_flight_messages(self):
@@ -511,18 +528,21 @@ class Network:
             # First traffic on this pair since an invalidation (or, on a
             # shard, an inbound pair whose sender lives elsewhere).
             link = self._build_link(src, dst)
-        kind = message.kind
-        cells = link.kind_cells.get(kind)
-        if cells is None:
-            cells = link.kind_cells[kind] = _KindCells(self._metrics, kind, src, dst)
+        kind = message.payload._kind
+        kind_names = link.kind_cells.get(kind)
+        if kind_names is None:
+            kind_names = link.kind_cells[kind] = self._kind_names(kind, src, dst)
         # Crashes/partitions that arose while the message was in flight also
         # destroy it -- the destination never processes it.
         if link.blocked is not None:
-            self._drop(cells, message.dup, link.blocked)
+            self._drop(kind_names, message.dup, link.blocked)
             return
+        counts = self._counts
         if message.dup:
-            cells.dup_delivered.add()
+            name = kind_names[_DUP_DELIVERED]
+            counts[name] = counts.get(name, 0) + 1
         else:
-            self._cell_delivered.add()
-            cells.delivered.add()
+            counts[names.MSG_DELIVERED] = counts.get(names.MSG_DELIVERED, 0) + 1
+            name = kind_names[_DELIVERED]
+            counts[name] = counts.get(name, 0) + 1
         link.deliver(message)

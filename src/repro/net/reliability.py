@@ -12,13 +12,13 @@ The window is exact under both FIFO and non-FIFO delivery: it tracks the
 highest sequence below which everything has been seen (``high_water``) plus
 the sparse set of out-of-order arrivals above it, so a duplicate is detected
 even when it overtakes fresher traffic.  Under per-pair FIFO delivery (the
-default, assumption R1) the sparse set stays empty and the check is a single
-integer comparison.
+default, assumption R1) the sparse set is never even allocated: an
+in-order arrival advances ``high_water`` directly.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
 
 class DedupWindow:
@@ -26,23 +26,37 @@ class DedupWindow:
 
     Sequence numbers start at 1 and are allocated contiguously by the
     sender; ``seen`` returns True for a duplicate and records first-time
-    arrivals.
+    arrivals.  ``_pending`` (arrivals above a gap) exists only while such a
+    gap is open.
     """
 
     __slots__ = ("high_water", "_pending")
 
     def __init__(self) -> None:
         self.high_water = 0
-        self._pending: Set[int] = set()
+        self._pending: Optional[Set[int]] = None
 
     def seen(self, seq: int) -> bool:
         """Record ``seq``; True iff it was already delivered before."""
-        if seq <= self.high_water or seq in self._pending:
+        high = self.high_water
+        pending = self._pending
+        if pending is None:
+            if seq == high + 1:
+                self.high_water = seq
+                return False
+            if seq <= high:
+                return True
+            self._pending = {seq}
+            return False
+        if seq <= high or seq in pending:
             return True
-        self._pending.add(seq)
-        while self.high_water + 1 in self._pending:
-            self.high_water += 1
-            self._pending.discard(self.high_water)
+        pending.add(seq)
+        while high + 1 in pending:
+            high += 1
+            pending.discard(high)
+        self.high_water = high
+        if not pending:
+            self._pending = None
         return False
 
     def was_seen(self, seq: int) -> bool:
@@ -54,9 +68,11 @@ class DedupWindow:
         sender's retransmission ladder, which is the repair backstop), so
         gap-rejected sequences are deliberately never recorded.
         """
-        return seq <= self.high_water or seq in self._pending
+        if seq <= self.high_water:
+            return True
+        return self._pending is not None and seq in self._pending
 
     @property
     def pending_gaps(self) -> int:
         """Out-of-order arrivals still above the contiguous frontier."""
-        return len(self._pending)
+        return 0 if self._pending is None else len(self._pending)

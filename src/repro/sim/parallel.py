@@ -496,20 +496,35 @@ def _shard_eot(sim: Simulation, lookahead: float) -> float:
     prediction executes before the tick it perturbs, so the perturbed tick
     fires no earlier than that event -- whose own EOT term already bounds
     the window.
+
+    The prediction rescans every outref, so ticks are adjusted lazily: in
+    time order, and only while a tick's raw time is below the running
+    minimum (an adjustment only moves a tick later, so a tick at or past
+    the minimum cannot lower it).  Adding ``lookahead`` once to the minimum
+    equals the minimum of the per-event sums, because rounded addition is
+    monotone.
     """
     period = sim.config.gc.local_trace_period
     sites = sim.sites
-    eot = _INF
+    earliest = _INF
+    ticks = []
     for time, label, site_id in sim.scheduler.live_events():
         if (
             site_id is not None
             and label is not None
             and label.startswith("gc-tick:")
         ):
-            time += sites[site_id].quiet_gc_ticks() * period
-        if time + lookahead < eot:
-            eot = time + lookahead
-    return eot
+            ticks.append((time, site_id))
+        elif time < earliest:
+            earliest = time
+    ticks.sort()
+    for time, site_id in ticks:
+        if time >= earliest:
+            break
+        time += sites[site_id].quiet_gc_ticks() * period
+        if time < earliest:
+            earliest = time
+    return earliest + lookahead
 
 
 def _schedule_incoming(sim: Simulation, incoming: List[RoutedMessage]) -> None:

@@ -168,7 +168,7 @@ class Scheduler:
         """
         if delay < 0:
             raise SchedulerError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, callback, label, site, arg)
+        return EventHandle(self._push(self._now + delay, callback, label, site, arg))
 
     def schedule_at(
         self,
@@ -189,7 +189,27 @@ class Scheduler:
             raise SchedulerError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        return self._push(time, callback, label, site, arg)
+        return EventHandle(self._push(time, callback, label, site, arg))
+
+    def post(
+        self,
+        time: float,
+        callback: EventCallback,
+        label: str = "",
+        site: Optional[SiteId] = None,
+        arg: object = _NO_ARG,
+    ) -> None:
+        """:meth:`schedule_at` for an event nobody will cancel: no handle.
+
+        The network posts every delivery this way, so the per-message path
+        allocates no :class:`EventHandle`.  Ordering is exactly that of
+        :meth:`schedule_at` (both draw from the same sequence counter).
+        """
+        if time < self._now:
+            raise SchedulerError(
+                f"cannot schedule into the past (time={time}, now={self._now})"
+            )
+        self._push(time, callback, label, site, arg)
 
     def _push(
         self,
@@ -198,13 +218,13 @@ class Scheduler:
         label: str,
         site: Optional[SiteId],
         arg: object = _NO_ARG,
-    ) -> EventHandle:
+    ) -> _Event:
         seq = self._seq
         self._seq = seq + 1
         event = _Event(time, seq, callback, arg, label, self, site)
         heapq.heappush(self._queue, (time, seq, event))
         self._live_events += 1
-        return EventHandle(event)
+        return event
 
     # -- cancellation bookkeeping / compaction ------------------------------
 

@@ -276,7 +276,9 @@ class Site:
                 self.receive(Message(src=message.src, dst=message.dst, payload=inner))
             return
         if is_sequenced and payload.seq > 0:
-            window = self._mutation_dedup.setdefault(message.src, DedupWindow())
+            window = self._mutation_dedup.get(message.src)
+            if window is None:
+                window = self._mutation_dedup[message.src] = DedupWindow()
             if window.seen(payload.seq):
                 self.metrics.incr(names.dup_suppressed(message.kind))
                 return
@@ -435,14 +437,16 @@ class Site:
         delay = self.config.update_retransmit_timeout * (2 ** min(attempts, 3))
         timer = self.scheduler.schedule(
             delay,
-            lambda: self._retransmit_update(dst, seq),
+            self._retransmit_update,
             label=f"update-retransmit:{self.site_id}->{dst}",
             site=self.site_id,
+            arg=(dst, seq),
         )
         pending[seq] = (attempts, timer)
         self.send(dst, payload)
 
-    def _retransmit_update(self, dst: SiteId, seq: int) -> None:
+    def _retransmit_update(self, key: Tuple[SiteId, int]) -> None:
+        dst, seq = key
         pending = self._pending_updates.get(dst)
         if pending is None or seq not in pending:
             return  # acked (or absorbed by a full) in the meantime
@@ -703,7 +707,9 @@ class Site:
             # itself have been lost, and re-acking is what stops the sender's
             # retransmission ladder.
             self.send(message.src, UpdateAck(seq=payload.seq))
-            window = self._update_dedup.setdefault(message.src, DedupWindow())
+            window = self._update_dedup.get(message.src)
+            if window is None:
+                window = self._update_dedup[message.src] = DedupWindow()
             if window.seen(payload.seq):
                 self.metrics.incr(names.dup_suppressed("UpdatePayload"))
                 return
@@ -720,7 +726,9 @@ class Site:
     def _on_update_delta(self, message: Message) -> None:
         payload: UpdateDeltaPayload = message.payload
         if payload.seq > 0:
-            window = self._update_dedup.setdefault(message.src, DedupWindow())
+            window = self._update_dedup.get(message.src)
+            if window is None:
+                window = self._update_dedup[message.src] = DedupWindow()
             if window.was_seen(payload.seq):
                 # Duplicate of a delta we *applied* (gap-rejected sequences
                 # are never recorded): re-ack to stop the retransmission

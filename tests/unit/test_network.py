@@ -198,3 +198,22 @@ def test_min_cross_latency_unknown_model_or_no_outside_is_none():
     assert net.min_cross_latency({"A"}) is None
     _, net, _, _ = make_net(latency=UniformLatency(2.0, 4.0))
     assert net.min_cross_latency({"A", "B", "C"}) is None
+
+
+def test_inbound_only_link_never_seeds_a_latency_stream():
+    # Shard workers build links for senders on other shards when their
+    # messages arrive; such a link draws no latency, so it creates no
+    # stream.  The first send creates it under its name-derived seed.
+    from repro.net.message import Message
+
+    config = NetworkConfig(pair_rng_streams=True)
+    sched, net, inboxes, _ = make_net(config=config)
+    registry = net._rng_registry
+    net.deliver_remote(Message("C", "A", Ping(1)))
+    assert [m.payload.n for m in inboxes["A"]] == [1]
+    assert net._links[("C", "A")].rng is None
+    assert "net:C->A" not in registry._streams
+    net.send("C", "A", Ping(2))
+    stream = net._links[("C", "A")].rng
+    assert stream is registry.stream("net:C->A")
+    assert stream.getstate() == RngRegistry(0).stream("net:C->A").getstate()

@@ -193,3 +193,18 @@ def test_live_events_excludes_cancelled_and_carries_label_and_site():
     doomed.cancel()
     events = sorted(sched.live_events())
     assert events == [(3.0, "gc-tick:A", "A"), (7.0, "", None)]
+
+
+def test_post_fires_like_schedule_at_without_a_handle():
+    sched = Scheduler()
+    fired = []
+    sched.schedule_at(4.0, lambda: fired.append("at"))
+    assert sched.post(4.0, fired.append, "deliver:x", "A", "posted") is None
+    sched.post(2.0, lambda: fired.append("thunk"))
+    assert sorted(sched.live_events())[1] == (4.0, "", None)
+    assert sched.pending == 3
+    sched.drain()
+    # Equal times keep schedule order across both entry points.
+    assert fired == ["thunk", "at", "posted"]
+    with pytest.raises(SchedulerError):
+        sched.post(1.0, lambda: None)
