@@ -67,9 +67,9 @@ def run_engine(workers, n_sites=N_SITES, duration=DURATION, seed=3, gc_features=
             coordination = sim.coordination_stats()
         sim.close()
     else:
-        from repro.analysis.export import snapshot
+        from repro.analysis.export import graph_snapshot
 
-        final = snapshot(sim)
+        final = graph_snapshot(sim)
         metrics = sim.metrics
     row = {
         "workers": workers,

@@ -1,21 +1,23 @@
 """E20 (extension) -- Demand-driven window planning vs the fixed step.
 
-The PR-6 coordinator planned every safe-time window as ``horizon +
-min_latency``: sound, but blind.  A steady-state workload -- a burst of
+A coordinator that plans every safe-time window as ``horizon +
+min_latency`` is sound, but blind.  A steady-state workload -- a burst of
 churn followed by a long quiet tail of periodic GC ticks that provably send
 nothing -- pays one coordination round trip per lookahead step forever.
-The demand planner (``SimulationConfig.window_planner="demand"``) lets each
-shard advertise its earliest output time, looks through provably-quiet
-GC-tick chains, and jumps the whole quiet tail in one window.
+The demand planner lets each shard advertise its earliest output time,
+looks through provably-quiet GC-tick chains, and jumps the whole quiet
+tail in one window.
 
-Measured here, fixed vs demand on the same seed at 4 workers:
+Measured here at 4 workers, against the fixed-step planner's window counts
+on the same seed and workload, pinned in :data:`FIXED_STEP_WINDOWS` (that
+planner is no longer in the engine):
 
 1. **Window count** -- the headline.  Window counts are a pure function of
    the event timeline and the planner (replies are drained in worker order;
    nothing is wall-clock-raced), so the >= 5x reduction is asserted
    deterministically and is NOT gated on host core count.
-2. **Byte-identity** -- both planners, and the sequential engine, must
-   produce the identical final snapshot: window boundaries decide how often
+2. **Byte-identity** -- the sharded run must produce the same final
+   snapshot as the sequential engine: window boundaries decide how often
    the coordinator synchronizes, never what executes.
 3. **Wall clock** -- recorded for honesty, never asserted: fewer round
    trips help even on one core, but by how much is host-dependent.
@@ -44,15 +46,19 @@ GC = dict(
     full_update_period=8,
 )
 REDUCTION_FLOOR = 5.0
+#: Windows the fixed-step planner (``horizon + min_latency`` every round)
+#: needed for this workload (16 sites, 4 workers, seed 7), by run duration:
+#: 6000 is the smoke run, 8000 the full one.  Measured at commit 851fc55,
+#: the last one with that planner.
+FIXED_STEP_WINDOWS = {6000.0: 334, 8000.0: 448}
 
 
-def _build(planner, workers, n_sites, seed, churn_until):
+def _build(workers, n_sites, seed, churn_until):
     config = SimulationConfig(
         seed=seed,
         network=NetworkConfig(**NETWORK),
         gc=GcConfig(**GC),
         parallel_workers=workers,
-        window_planner=planner,
     )
     sim = Simulation.create(config)
     sites = [f"s{i:03d}" for i in range(n_sites)]
@@ -63,7 +69,6 @@ def _build(planner, workers, n_sites, seed, churn_until):
 
 
 def run_planner(
-    planner,
     workers=WORKERS,
     n_sites=N_SITES,
     duration=DURATION,
@@ -71,12 +76,11 @@ def run_planner(
     seed=7,
 ):
     """One run; returns wall time, coordination counters, and the snapshot."""
-    sim = _build(planner, workers, n_sites, seed, churn_until)
+    sim = _build(workers, n_sites, seed, churn_until)
     started = time.perf_counter()
     fired = sim.run_until(duration)
     wall_seconds = time.perf_counter() - started
     row = {
-        "planner": planner,
         "workers": workers,
         "events": fired,
         "wall_seconds": wall_seconds,
@@ -107,25 +111,19 @@ def run_comparison(
     workers=WORKERS,
     churn_until=CHURN_UNTIL,
 ):
-    """Fixed vs demand at ``workers``, plus the sequential twin."""
-    fixed = run_planner(
-        "fixed", workers, n_sites, duration, churn_until
-    )
-    demand = run_planner(
-        "demand", workers, n_sites, duration, churn_until
-    )
-    sequential = run_planner(
-        "demand", 1, n_sites, duration, churn_until
-    )
-    snapshots = [row.pop("snapshot") for row in (fixed, demand, sequential)]
-    reduction = fixed["windows"] / max(1, demand["windows"])
+    """Demand at ``workers`` and the sequential twin, vs the pinned fixed step."""
+    demand = run_planner(workers, n_sites, duration, churn_until)
+    sequential = run_planner(1, n_sites, duration, churn_until)
+    snapshots = [row.pop("snapshot") for row in (demand, sequential)]
+    fixed_windows = FIXED_STEP_WINDOWS[duration]
+    reduction = fixed_windows / max(1, demand["windows"])
     return {
         "sites": n_sites,
         "workers": workers,
         "duration": duration,
         "churn_until": churn_until,
-        "snapshots_identical": all(s == snapshots[0] for s in snapshots),
-        "fixed": fixed,
+        "snapshots_identical": snapshots[0] == snapshots[1],
+        "fixed": {"windows": fixed_windows, "pinned_at": "851fc55"},
         "demand": demand,
         "sequential": sequential,
         "window_reduction": reduction,
@@ -144,36 +142,26 @@ def test_e20_window_reduction(benchmark, record_table):
     """
     results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     table = Table(
-        "E20: window planning, fixed vs demand "
+        "E20: window planning, demand vs the pinned fixed step "
         f"({N_SITES} sites, {WORKERS} workers, {DURATION:.0f} time units)",
         ["planner", "windows", "eot", "quiesce", "piped", "msgs/win", "wall (s)"],
     )
-    for key in ("fixed", "demand"):
-        row = results[key]
-        table.add_row(
-            row["planner"],
-            row["windows"],
-            row["eot_jumps"],
-            row["quiescence_jumps"],
-            row["pipelined_windows"],
-            f"{row['msgs_per_window']:.2f}",
-            f"{row['wall_seconds']:.3f}",
-        )
+    row = results["demand"]
+    table.add_row("fixed (pinned)", results["fixed"]["windows"], "", "", "", "", "")
+    table.add_row(
+        "demand",
+        row["windows"],
+        row["eot_jumps"],
+        row["quiescence_jumps"],
+        row["pipelined_windows"],
+        f"{row['msgs_per_window']:.2f}",
+        f"{row['wall_seconds']:.3f}",
+    )
     record_table("e20_window_planning", table)
 
     assert results["snapshots_identical"]
-    assert results["fixed"]["events"] == results["demand"]["events"]
     assert results["demand"]["events"] == results["sequential"]["events"]
-    # Same messages crossed shards; only the number of round trips changed.
-    assert (
-        results["fixed"]["cross_shard_messages"]
-        == results["demand"]["cross_shard_messages"]
-    )
     assert results["window_reduction_at_least_5x"], results["window_reduction"]
-    # The fixed planner must never jump or pipeline (A/B purity).
-    assert results["fixed"]["eot_jumps"] == 0
-    assert results["fixed"]["quiescence_jumps"] == 0
-    assert results["fixed"]["pipelined_windows"] == 0
 
 
 def _check_regression(results):

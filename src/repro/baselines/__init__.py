@@ -16,6 +16,14 @@ benchmark E6 measures algorithms rather than harness differences:
 
 All are used with ``GcConfig(enable_backtracing=False)``: they *replace* the
 paper's back tracing on top of unchanged local tracing.
+
+Each scheme is a *driver* object constructed against a running simulation
+(it registers its handlers on the sites itself) plus an explicit
+``run_round``/``start_round``.  Each module registers it as a driver-style
+backend: a :class:`~repro.core.collector.NullCollector` site strategy (plain
+local tracing) with a ``driver_factory``, so ``GcConfig.collector =
+"baseline.global"`` (and so on) selects it and
+:attr:`Simulation.collector_driver` builds it.
 """
 
 from .globaltrace import GlobalTraceCollector

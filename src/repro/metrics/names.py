@@ -157,7 +157,7 @@ PAR_PIPELINED_WINDOWS = "parallel.pipelined_windows"
 #: Cross-shard messages, whichever path they took (rings + pipes).
 PAR_CROSS_SHARD_MESSAGES = "parallel.cross_shard_messages"
 #: Cross-shard messages that travelled shard-to-shard through the
-#: shared-memory rings (direct_rings), never crossing a coordinator pipe.
+#: shared-memory rings, never crossing a coordinator pipe.
 PAR_RING_MESSAGES = "parallel.ring_messages"
 #: Bytes written into the shard-to-shard rings (frames included).  Counted
 #: separately from the pipe byte counters so ``coordination_stats()`` can
@@ -165,7 +165,7 @@ PAR_RING_MESSAGES = "parallel.ring_messages"
 #: the payload traffic moves into shared memory.
 PAR_RING_BYTES = "parallel.ring_bytes"
 #: Cross-shard messages that found their ring full (or the record
-#: oversized) and spilled to the legacy coordinator-routed pipe path.
+#: oversized, or no rings at all) and spilled to the coordinator pipes.
 PAR_RING_SPILLS = "parallel.ring_spills"
 
 #: coordination_stats() key -> canonical facade counter name.

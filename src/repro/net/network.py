@@ -170,11 +170,11 @@ class Network:
         # with the latency draw and FIFO clamp already applied sender-side.
         self._shard_sites: Optional[Set[SiteId]] = None
         self._shard_outbox: Optional[List[Tuple[float, Message]]] = None
-        # Direct data path (parallel engine, direct_rings): a callback that
-        # tries to put a cross-shard message straight into the destination
-        # shard's SPSC ring.  True means the message travelled shard-to-
-        # shard; False falls through to the coordinator-routed outbox (ring
-        # full, oversized record).
+        # Shard-to-shard data path (parallel engine with a shared arena): a
+        # callback that tries to put a cross-shard message straight into the
+        # destination shard's SPSC ring.  True means the message travelled
+        # shard-to-shard; False falls through to the outbox the coordinator
+        # forwards (ring full, oversized record).
         self._ring_writer: Optional[Callable[[float, Message], bool]] = None
         # The per-pair link cache (the hot-path fast lane; see module
         # docstring for the invalidation contract).

@@ -9,7 +9,9 @@ fingerprint:
 - ``outcomes`` -- blake2b of the completed back traces (time, initiator site,
   trace id, verdict), plus ``traces``, their number.
 
-The pinned values were taken from the code before object ids became tuples;
+The pinned values were taken from the code before object ids became tuples
+(the ``churn32_4w``, ``churn32_4w_spill`` and ``chaos_storm_2w`` cells from
+the code before the sharded engine dropped its alternative data paths);
 any change that is meant to leave behaviour alone must reproduce them.  To
 re-pin after a change that is *meant* to alter behaviour, run::
 
@@ -65,13 +67,19 @@ def fingerprint(sim: Simulation, events: int) -> Dict[str, object]:
     }
 
 
-def churn(workers: int, seed: int = 5) -> Dict[str, object]:
-    """The e16 shape (churn with auto GC, paired RNG streams) on 32 sites."""
+def churn(workers: int, seed: int = 5, ring_bytes: int = 65536) -> Dict[str, object]:
+    """The e16 shape (churn with auto GC, paired RNG streams) on 32 sites.
+
+    ``ring_bytes`` sizes each shard-to-shard ring; at the 1024-byte minimum
+    most cross-shard records do not fit and take the pipe spill path, which
+    the cell asserts.
+    """
     config = SimulationConfig(
         seed=seed,
         network=NetworkConfig(min_latency=8.0, max_latency=24.0, pair_rng_streams=True),
         gc=GcConfig(local_trace_period=150.0, local_trace_period_jitter=30.0),
         parallel_workers=workers,
+        ring_bytes_per_pair=ring_bytes,
     )
     sim = Simulation.create(config)
     try:
@@ -80,6 +88,8 @@ def churn(workers: int, seed: int = 5) -> Dict[str, object]:
             until=1200.0
         )
         events = sim.run_until(500.0) + sim.run_until(1500.0)
+        if ring_bytes == 1024 and not sim.coordination_stats()["ring_spills"]:
+            raise AssertionError("tiny-ring churn cell spilled no records")
         return fingerprint(sim, events)
     finally:
         close = getattr(sim, "close", None)
@@ -119,13 +129,37 @@ def rings(seed: int = 7) -> Dict[str, object]:
     return fingerprint(sim, events)
 
 
-def chaos_storm(seed: int = 2) -> Dict[str, object]:
-    """One cell of the chaos matrix under the ``storm`` plan (loss + dup + reorder)."""
+def chaos_storm(seed: int = 2, workers: int = 1) -> Dict[str, object]:
+    """One cell of the chaos matrix under the ``storm`` plan (loss + dup + reorder).
+
+    The case closes a sharded simulation before returning, so that run is
+    fingerprinted just before its close; its event count sums what every
+    ``run_until`` call fired across the shards.  The sharded cell is not the
+    sequential one's twin: the case's oracle reads the coordinator's own
+    site objects, which stop at the fork, so it stops after a different
+    number of GC rounds.
+    """
     made = []
+    prints = []
 
     def create(config, **kwargs):
-        made.append(Simulation.create(config, **kwargs))
-        return made[-1]
+        sim = Simulation.create(config, **kwargs)
+        made.append(sim)
+        if workers > 1:
+            fired = []
+            run_until, close = sim.run_until, sim.close
+
+            def counted_run_until(time, max_events=None):
+                fired.append(run_until(time, max_events=max_events))
+                return fired[-1]
+
+            def fingerprint_then_close():
+                if not prints:
+                    prints.append(fingerprint(sim, sim.scheduler.events_fired + sum(fired)))
+                close()
+
+            sim.run_until, sim.close = counted_run_until, fingerprint_then_close
+        return sim
 
     storm = next(
         plan
@@ -133,9 +167,11 @@ def chaos_storm(seed: int = 2) -> Dict[str, object]:
         if plan.name == "storm"
     )
     with mock.patch.object(chaos, "Simulation", mock.Mock(create=create)):
-        result = chaos.run_chaos_case(seed, storm)
+        result = chaos.run_chaos_case(seed, storm, parallel_workers=workers)
     if not result.ok:
         raise AssertionError(f"chaos storm cell failed: {result.violations}")
+    if workers > 1:
+        return prints[0]
     sim = made[0]
     return fingerprint(sim, sim.scheduler.events_fired)
 
@@ -143,8 +179,11 @@ def chaos_storm(seed: int = 2) -> Dict[str, object]:
 CELLS: Dict[str, Callable[[], Dict[str, object]]] = {
     "churn32_seq": lambda: churn(workers=1),
     "churn32_2w": lambda: churn(workers=2),
+    "churn32_4w": lambda: churn(workers=4),
+    "churn32_4w_spill": lambda: churn(workers=4, ring_bytes=1024),
     "rings12": rings,
     "chaos_storm": chaos_storm,
+    "chaos_storm_2w": lambda: chaos_storm(workers=2),
 }
 
 

@@ -178,11 +178,10 @@ def test_single_shard_degrades_to_sequential_with_warning():
     assert not sim.parallel_active and not sim._forked
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_workers_one_is_byte_identical_to_sequential_engine():
-    # Deliberate direct construction (hence the warning filter): the subject
-    # is the ParallelSimulation class itself on the workers=1 path, which
-    # Simulation.create would never hand back.
+    # Deliberate direct construction: the subject is the ParallelSimulation
+    # class itself on the workers=1 path, which Simulation.create would
+    # never hand back.
     # parallel_workers=1 must take the existing sequential path unchanged:
     # same classes, same RNG streams (pair_rng_streams stays at its default),
     # hence byte-identical final state against a plain Simulation.
@@ -220,15 +219,7 @@ def test_post_fork_guardrails():
     sim.close()  # idempotent
 
 
-# -- wire modes and numpy availability ---------------------------------------
-
-
-def test_legacy_wire_mode_is_byte_identical():
-    # packed_wire=False / shared_arena=False is the pickled-list baseline the
-    # e19 bench compares against; it must stay a perfect twin too.
-    seq = _run_scenario(1, seed=31)
-    legacy = _run_scenario(4, seed=31, packed_wire=False, shared_arena=False)
-    assert legacy == seq
+# -- numpy availability and traffic accounting --------------------------------
 
 
 def test_numpy_free_workers_are_byte_identical(monkeypatch):
@@ -254,15 +245,17 @@ def test_coordination_stats_count_packed_traffic():
     sim.run_for(300.0)
     stats = sim.coordination_stats()
     sim.close()
-    assert stats["packed_wire"] == 1
     assert stats["windows"] > 0
     assert stats["bytes_sent"] > 0 and stats["bytes_recv"] > 0
-    # Every routed message is accounted exactly once: through the rings or
-    # (spills and ring-off runs) through the pipe packers.
+    # Every routed message is accounted exactly once: through the rings or,
+    # spilled, through the pipe packers.
     assert stats["cross_shard_messages"] == (
         stats["ring_messages"]
         + stats["payloads_packed"]
         + stats["payloads_pickled"]
+    )
+    assert stats["ring_spills"] == (
+        stats["payloads_packed"] + stats["payloads_pickled"]
     )
     # Every hot-path payload kind in this workload has a packed encoding.
     assert stats["payloads_pickled"] == 0

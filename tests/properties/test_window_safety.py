@@ -20,7 +20,10 @@ import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.errors import SimulationError
+from repro.gc.insert import InsertDone
+from repro.ids import ObjectId
 from repro.net.latency import UniformLatency, ZonedLatency
+from repro.net.message import Message
 from repro.net.wire import pack_reply_meta
 from repro.workloads import ChurnConfig, SiteChurn
 
@@ -79,15 +82,13 @@ def test_windows_never_deliver_into_the_past_under_random_latency(trial):
 
 
 def test_absorb_rejects_a_message_below_the_window_floor():
-    """The runtime invariant check actually fires (legacy wire mode)."""
+    """The runtime invariant check actually fires on a spilled record."""
     config = SimulationConfig(
         seed=3,
         network=NetworkConfig(
             min_latency=5.0, max_latency=10.0, pair_rng_streams=True
         ),
         parallel_workers=2,
-        packed_wire=False,
-        shared_arena=False,
     )
     sim = Simulation.create(config)
     sim.add_sites(["A", "B", "C", "D"], auto_gc=False)
@@ -95,7 +96,16 @@ def test_absorb_rejects_a_message_below_the_window_floor():
     assert sim.parallel_active
     worker = sim._pool.workers[0]
     inf = float("inf")
-    forged = ("ok", None, [(5.0, None)], pack_reply_meta(inf, inf, 0))
-    with pytest.raises(SimulationError, match="window-safety"):
+    message = Message("A", "C", InsertDone(ObjectId("C", 1)), uid=1)
+    blob = sim._codec.pack_routed([(5.0, message)])
+    forged = ("ok", None, blob, pack_reply_meta(inf, inf, 0))
+    try:
+        with pytest.raises(SimulationError, match="window-safety"):
+            sim._absorb(worker, forged, floor=100.0)
+        # The same record at the floor is routed, not rejected.
+        blob = sim._codec.pack_routed([(100.0, message)])
+        forged = ("ok", None, blob, pack_reply_meta(inf, inf, 0))
         sim._absorb(worker, forged, floor=100.0)
-    sim.close()
+        assert sim._pending and sim._pending[-1][0] == 100.0
+    finally:
+        sim.close()

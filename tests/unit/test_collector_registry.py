@@ -1,4 +1,4 @@
-"""The collector registry, config plumbing, deprecation shims, and facade."""
+"""The collector registry, config plumbing, and facade."""
 
 import warnings
 
@@ -111,18 +111,6 @@ def test_driver_backend_builds_driver_lazily_without_warning():
         warnings.simplefilter("error", DeprecationWarning)
         driver = sim.collector_driver
     assert sim.collector_driver is driver  # cached, built once
-
-
-# -- deprecation shims ------------------------------------------------------
-
-
-def test_direct_baseline_construction_warns():
-    from repro.baselines.trialdeletion import TrialDeletionCollector
-
-    sim = Simulation.create(SimulationConfig(gc=GcConfig(collector="null")))
-    sim.add_sites(["a", "b"], auto_gc=False)
-    with pytest.warns(DeprecationWarning, match="baseline.trial"):
-        TrialDeletionCollector(sim)
 
 
 # -- the stable facade ------------------------------------------------------

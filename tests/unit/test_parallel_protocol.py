@@ -1,16 +1,17 @@
 """Unit tests for the parallel engine's building blocks.
 
 Covers the scheduler features the sharded engine relies on (windowed
-execution, site tagging, heap compaction), the pure safe-time planner, and
-shard assignment -- no worker processes involved.
+execution, site tagging, heap compaction), the coordinator's demand window
+planner, and shard assignment -- no worker processes involved.
 """
 
 import math
 
 import pytest
 
-from repro.errors import SchedulerError, SimulationError
-from repro.sim.parallel import SafeTimePlanner, assign_shards
+from repro import NetworkConfig, Simulation, SimulationConfig
+from repro.errors import SchedulerError
+from repro.sim.parallel import _WorkerHandle, assign_shards
 from repro.sim.scheduler import Scheduler
 
 INF = float("inf")
@@ -108,53 +109,91 @@ def test_retain_sites_ignores_cancelled_untagged_events():
     assert sched.retain_sites({"a"}) == 1
 
 
-# -- safe-time planner -------------------------------------------------------
+# -- demand window planner ---------------------------------------------------
+
+
+def _coordinator(lookahead, next_times):
+    """An unforked coordinator whose workers advertise ``next_times``.
+
+    Each fake shard holds one ordinary event, so it advertises the EOT
+    ``next_time + lookahead``, exactly as :func:`_shard_eot` would.
+    """
+    sim = Simulation.create(
+        SimulationConfig(
+            network=NetworkConfig(min_latency=lookahead, max_latency=lookahead),
+            parallel_workers=len(next_times),
+        )
+    )
+    sim._shard_lookahead = [lookahead] * len(next_times)
+    sim._pool.workers = [
+        _WorkerHandle(None, None, set(), index) for index in range(len(next_times))
+    ]
+    _advertise(sim, next_times, lookahead)
+    return sim
+
+
+def _advertise(sim, next_times, lookahead):
+    for worker, next_time in zip(sim._pool.workers, next_times):
+        worker.next_time = next_time
+        worker.eot = next_time + lookahead
 
 
 def test_planner_requires_positive_lookahead():
-    with pytest.raises(SimulationError):
-        SafeTimePlanner(0.0)
-
-
-def test_planner_horizon_accepts_any_iterable():
-    planner = SafeTimePlanner(1.0)
-    # The coordinator passes a generator over its worker handles; the
-    # planner must not require a materialized sequence.
-    assert planner.horizon(t for t in (5.0, 2.0, 9.0)) == 2.0
-    assert planner.horizon(iter([])) == INF
-    assert planner.horizon(map(float, range(3, 7))) == 3.0
+    # With zero lookahead no window has positive width: the engine falls
+    # back to the sequential path instead of planning.
+    config = SimulationConfig(
+        network=NetworkConfig(min_latency=0.0, max_latency=1.0),
+        parallel_workers=2,
+    )
+    with pytest.warns(RuntimeWarning, match="min_latency must be > 0"):
+        sim = Simulation.create(config)
+    assert not sim.parallel_active
+    sim.add_sites(["a", "b"], auto_gc=False)
+    sim.run_for(5.0)
+    assert not sim._forked
 
 
 def test_planner_window_is_horizon_plus_lookahead_clamped():
-    planner = SafeTimePlanner(2.0)
     target = math.nextafter(10.0, INF)
-    assert planner.window(1.0, target) == 3.0
-    assert planner.window(9.5, target) == target  # clamped at the target
-    assert planner.window(target, target) is None  # reached
-    assert planner.window(INF, target) is None  # all shards idle
+    sim = _coordinator(2.0, [1.0, 5.0])
+    assert sim._plan_bound(target) == 3.0
+    _advertise(sim, [9.5, 9.8], 2.0)
+    assert sim._plan_bound(target) == target  # clamped at the target
+    _advertise(sim, [target, INF], 2.0)
+    assert sim._plan_bound(target) is None  # reached
+    _advertise(sim, [INF, INF], 2.0)
+    assert sim._plan_bound(target) is None  # all shards idle
+    # A spilled record still awaiting its shard caps the bound with the
+    # cascade its delivery can start: deliver_at + destination lookahead.
+    _advertise(sim, [1.0, 5.0], 2.0)
+    sim._index_to_worker = [0, 1]
+    sim._pending = [(1.5, 1, 0, 7, b"")]
+    assert sim._plan_bound(target) == 3.0  # the shard EOT is still lower
+    sim._pending = [(0.5, 1, 0, 7, b"")]
+    assert sim._plan_bound(target) == 2.5
 
 
 def test_planner_window_always_exceeds_horizon():
     # Lookahead so small it underflows against the horizon's magnitude: the
     # window must still make progress (cover the horizon event).
-    planner = SafeTimePlanner(1e-9)
     horizon = 1e12
-    target = math.nextafter(2e12, INF)
-    safe = planner.window(horizon, target)
+    sim = _coordinator(1e-9, [horizon, 2 * horizon])
+    assert sim._pool.workers[0].eot == horizon  # horizon + 1e-9 rounds back
+    safe = sim._plan_bound(math.nextafter(2e12, INF))
     assert safe is not None and safe > horizon
 
 
 def test_planner_rounds_terminate():
-    # Simulate shards whose next-event times advance by at least the window:
-    # the loop must reach the target in finitely many rounds, each strictly
+    # Shards whose next-event times advance by at least the window: the
+    # loop must reach the target in finitely many rounds, each strictly
     # later than the last.
-    planner = SafeTimePlanner(1.0)
     target = math.nextafter(100.0, INF)
     next_times = [0.0, 0.5, 3.0]
+    sim = _coordinator(1.0, next_times)
     rounds = 0
     previous_safe = -INF
     while True:
-        safe = planner.window(planner.horizon(next_times), target)
+        safe = sim._plan_bound(target)
         if safe is None:
             break
         assert safe > previous_safe
@@ -162,6 +201,7 @@ def test_planner_rounds_terminate():
         # Every shard executes its events below `safe`; its next event lands
         # at or beyond the window bound.
         next_times = [max(t, safe) for t in next_times]
+        _advertise(sim, next_times, 1.0)
         rounds += 1
         assert rounds < 1000
     assert rounds > 0
@@ -185,17 +225,7 @@ def test_more_workers_than_sites_collapses():
     assert shards == [["a"], ["b"]]
 
 
-# -- window planner selection and quiet-tick gates ---------------------------
-
-
-def test_window_planner_config_validation():
-    from repro.config import SimulationConfig
-    from repro.errors import ConfigError
-
-    assert SimulationConfig().window_planner == "demand"
-    assert SimulationConfig(window_planner="fixed").window_planner == "fixed"
-    with pytest.raises(ConfigError):
-        SimulationConfig(window_planner="eager")
+# -- quiet-tick gates ----------------------------------------------------------
 
 
 def test_site_quiet_gc_ticks_follows_collector_prediction():
